@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"testing"
 	"time"
 
 	"openflame/internal/client"
+	"openflame/internal/discovery"
 	"openflame/internal/mapserver"
 	"openflame/internal/osm"
 	"openflame/internal/worldgen"
@@ -96,10 +98,43 @@ func TestWatchV2FederatedDeltas(t *testing.T) {
 	}
 }
 
+// watchOpens is an http.RoundTripper that reports the host of every watch
+// stream a server accepted. A server answers 200 only after it has
+// subscribed and taken its init snapshot, so a test that waits here orders
+// its next write after that snapshot without sleeping.
+type watchOpens struct {
+	next   http.RoundTripper
+	opened chan string
+}
+
+func (w *watchOpens) RoundTrip(req *http.Request) (*http.Response, error) {
+	res, err := w.next.RoundTrip(req)
+	if err == nil && res.StatusCode == http.StatusOK && req.URL.Path == "/v1/watch" {
+		select {
+		case w.opened <- req.URL.Host:
+		default:
+		}
+	}
+	return res, err
+}
+
+// nextWatchOpen returns the host of the next accepted watch stream.
+func nextWatchOpen(t *testing.T, opened <-chan string, timeout time.Duration) string {
+	t.Helper()
+	select {
+	case host := <-opened:
+		return host
+	case <-time.After(timeout):
+		t.Fatal("no watch stream opened within deadline")
+	}
+	panic("unreachable")
+}
+
 // watchReplicas stands up a two-member replica set with a sentinel write
 // synced to both, then opens a watch and returns it with its init event
-// resolved into (serving handle, sibling handle).
-func watchReplicas(t *testing.T) (f *Federation, c *client.Client, watch *client.Watch, node *osm.Node, serving, sibling *ServerHandle) {
+// resolved into (serving handle, sibling handle). opened reports every
+// later watch stream a server accepts.
+func watchReplicas(t *testing.T) (f *Federation, c *client.Client, watch *client.Watch, node *osm.Node, serving, sibling *ServerHandle, opened <-chan string) {
 	t.Helper()
 	w := worldgen.GenWorld(worldgen.DefaultWorldParams())
 	f, err := NewFederation()
@@ -129,7 +164,10 @@ func watchReplicas(t *testing.T) (f *Federation, c *client.Client, watch *client
 
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	c = f.NewClient()
+	// Buffered past the few streams a test opens, so the transport never
+	// blocks on a report nobody is waiting for.
+	opens := &watchOpens{next: http.DefaultTransport, opened: make(chan string, 8)}
+	c = client.New(discovery.NewClient(f.NewResolver(), discovery.DefaultSuffix), &http.Client{Transport: opens})
 	watch, err = c.WatchV2(ctx, "xyzfail", pos, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -147,20 +185,26 @@ func watchReplicas(t *testing.T) (f *Federation, c *client.Client, watch *client
 	if init.Server != serving.Server.Name() {
 		t.Fatalf("init from unknown server %q", init.Server)
 	}
-	return f, c, watch, node, serving, sibling
+	nextWatchOpen(t, opens.opened, 5*time.Second) // the serving stream
+	return f, c, watch, node, serving, sibling, opens.opened
 }
 
 // TestWatchV2FailoverResumesOnSibling is the failover acceptance pin: the
 // serving replica dies mid-stream and the watch resumes on its sibling
 // with no lost and no duplicated deltas. The sibling holds a different
 // log incarnation, so the resume is a server-side re-snapshot; the
-// client diffs it away (state was in sync at the kill) and the next
-// thing the application sees is the first post-failover write.
+// client diffs it away (state was in sync at the kill, and which replica
+// answers is not content) and the next thing the application sees is the
+// first post-failover write. The write waits for the sibling's stream, so
+// the re-snapshot always precedes it.
 func TestWatchV2FailoverResumesOnSibling(t *testing.T) {
-	f, _, watch, node, serving, sibling := watchReplicas(t)
+	f, _, watch, node, serving, sibling, opened := watchReplicas(t)
 
 	if err := f.RemoveServer(serving.Server.Name()); err != nil {
 		t.Fatal(err)
+	}
+	if host := nextWatchOpen(t, opened, 10*time.Second); "http://"+host != sibling.URL {
+		t.Fatalf("watch resumed on %s, want the sibling %s", host, sibling.URL)
 	}
 	renameNode(t, sibling.Server, node, "Xyzfail Two")
 
@@ -181,7 +225,7 @@ func TestWatchV2FailoverResumesOnSibling(t *testing.T) {
 // explicit delta — the watcher converges on the surviving replica's
 // truth instead of silently skipping the gap.
 func TestWatchV2ResnapshotReconcilesDivergence(t *testing.T) {
-	f, _, watch, node, serving, sibling := watchReplicas(t)
+	f, _, watch, node, serving, sibling, _ := watchReplicas(t)
 
 	// The origin-only write reaches the stream...
 	renameNode(t, serving.Server, node, "Xyzfail Ahead")

@@ -47,12 +47,19 @@ const (
 func CellDomain(c s2cell.CellID, suffix string) string {
 	suffix = dns.CanonicalName(suffix)
 	level := c.Level()
-	labels := make([]string, 0, level+1)
+	// "q<digit>." per level, then "f<digit>.", then the suffix.
+	var b strings.Builder
+	b.Grow(3*level + 3 + len(suffix))
 	for l := level; l >= 1; l-- {
-		labels = append(labels, fmt.Sprintf("q%d", c.ChildPosition(l)))
+		b.WriteByte('q')
+		b.WriteByte(byte('0' + c.ChildPosition(l)))
+		b.WriteByte('.')
 	}
-	labels = append(labels, fmt.Sprintf("f%d", c.Face()))
-	return strings.Join(labels, ".") + "." + suffix
+	b.WriteByte('f')
+	b.WriteByte(byte('0' + c.Face()))
+	b.WriteByte('.')
+	b.WriteString(suffix)
+	return b.String()
 }
 
 // Announcement is one map server's presence on one cell.
@@ -566,9 +573,10 @@ func (r *Registry) rewriteCellsLocked(tokens []string) error {
 const DefaultAnnouncementTTL = time.Second
 
 // Client discovers map servers by location through a DNS resolver. It is
-// safe for concurrent use; discoveries over a region fan their per-cell TXT
-// lookups out concurrently, coalescing duplicate in-flight lookups and
-// caching parsed announcements for AnnouncementTTL.
+// safe for concurrent use. Parsed announcements are cached per cell for
+// AnnouncementTTL, and cached cells are answered inline without a fan-out;
+// only the cells that miss fan their TXT lookups out concurrently,
+// coalescing duplicate in-flight lookups.
 type Client struct {
 	resolver *dns.Resolver
 	suffix   string
@@ -586,7 +594,9 @@ type Client struct {
 
 	flight  fanout.Group[[]Announcement]
 	cacheMu sync.Mutex
-	cache   map[string]annCacheEntry
+	// cache is keyed by cell: the suffix is fixed per client, so the cell
+	// alone names the domain.
+	cache map[s2cell.CellID]annCacheEntry
 	// maxEpoch holds the highest membership epoch observed PER REGISTRY
 	// (announcements carry their registry's identity): epochs from
 	// independent operators are independent counters and must never be
@@ -608,6 +618,7 @@ type Client struct {
 const epochRegressionGrace = 2 * time.Minute
 
 type annCacheEntry struct {
+	// anns are annotated with the cell's level and token.
 	anns   []Announcement
 	expiry time.Time
 	// regEpochs records, per registry present in the entry, the epoch its
@@ -630,7 +641,7 @@ func NewClient(res *dns.Resolver, suffix string) *Client {
 		MaxLevel:        DefaultMaxLevel,
 		AnnouncementTTL: DefaultAnnouncementTTL,
 		Now:             time.Now,
-		cache:           make(map[string]annCacheEntry),
+		cache:           make(map[s2cell.CellID]annCacheEntry),
 		maxEpoch:        make(map[string]uint64),
 		epochLowSince:   make(map[string]time.Time),
 	}
@@ -654,21 +665,12 @@ func dedupAnnouncements(anns []Announcement) []Announcement {
 	return out
 }
 
-// lookupCell resolves and parses one cell's announcements, consulting the
-// TTL cache first and coalescing concurrent duplicate lookups. Negative
-// answers (nothing announced) are cached too. The returned slice is shared:
-// callers must not mutate it.
-func (c *Client) lookupCell(ctx context.Context, domain string) []Announcement {
-	ttl := c.AnnouncementTTL
-	if ttl > 0 {
-		c.cacheMu.Lock()
-		e, ok := c.cache[domain]
-		if ok && c.Now().Before(e.expiry) {
-			c.cacheMu.Unlock()
-			return e.anns
-		}
-		c.cacheMu.Unlock()
-	}
+// resolveCell resolves and parses one cell's announcements, annotated with
+// the cell's level and token, coalescing concurrent duplicate lookups.
+// Positive answers and definitive negatives (nothing announced) are cached.
+// The returned slice is shared: callers must not mutate it.
+func (c *Client) resolveCell(ctx context.Context, cell s2cell.CellID) []Announcement {
+	domain := CellDomain(cell, c.suffix)
 	resolve := func(ctx context.Context) ([]Announcement, error) {
 		txts, err := c.resolver.LookupTXTCtx(ctx, domain)
 		if err != nil {
@@ -677,6 +679,7 @@ func (c *Client) lookupCell(ctx context.Context, domain string) []Announcement {
 		var out []Announcement
 		for _, t := range txts {
 			if a, ok := ParseTXT(t); ok {
+				a.Level, a.CellToken = cell.Level(), cell.Token()
 				out = append(out, a)
 			}
 		}
@@ -699,8 +702,8 @@ func (c *Client) lookupCell(ctx context.Context, domain string) []Announcement {
 	// Cache positive answers and definitive negatives; transient failures
 	// (server failure, cancellation mid-lookup) are not cached.
 	definitive := err == nil || errors.Is(err, dns.ErrNXDomain) || errors.Is(err, dns.ErrNoData)
-	if ttl > 0 && definitive {
-		c.cacheStore(domain, anns)
+	if c.AnnouncementTTL > 0 && definitive {
+		c.cacheStore(cell, anns)
 	}
 	return anns
 }
@@ -816,7 +819,7 @@ const maxAnnCacheEntries = 4096
 // a stale lower cache layer and admitting it would re-introduce exactly
 // the staleness the epoch flush removed. Epoch-less answers (negatives,
 // legacy records) rely on the TTL alone.
-func (c *Client) cacheStore(domain string, anns []Announcement) {
+func (c *Client) cacheStore(cell s2cell.CellID, anns []Announcement) {
 	regEpochs := regEpochsOf(anns)
 	c.cacheMu.Lock()
 	defer c.cacheMu.Unlock()
@@ -825,7 +828,7 @@ func (c *Client) cacheStore(domain string, anns []Announcement) {
 			return
 		}
 	}
-	if _, exists := c.cache[domain]; !exists && len(c.cache) >= maxAnnCacheEntries {
+	if _, exists := c.cache[cell]; !exists && len(c.cache) >= maxAnnCacheEntries {
 		now := c.Now()
 		for k, e := range c.cache {
 			if now.After(e.expiry) {
@@ -839,29 +842,49 @@ func (c *Client) cacheStore(domain string, anns []Announcement) {
 			delete(c.cache, k)
 		}
 	}
-	c.cache[domain] = annCacheEntry{anns: anns, expiry: c.Now().Add(c.AnnouncementTTL), regEpochs: regEpochs}
+	c.cache[cell] = annCacheEntry{anns: anns, expiry: c.Now().Add(c.AnnouncementTTL), regEpochs: regEpochs}
 }
 
-// lookupCells resolves a batch of cells with bounded concurrency and
-// returns the announcements per cell, annotated with the cell's level and
-// token. Order of the result matches the order of cells.
+// lookupCells resolves a batch of cells and returns the announcements per
+// cell, annotated with the cell's level and token. Order of the result
+// matches the order of cells. Unexpired cached cells are answered inline,
+// under one lock and one clock read; only the misses fan out, with bounded
+// concurrency, to DNS.
 func (c *Client) lookupCells(ctx context.Context, cells []s2cell.CellID) [][]Announcement {
 	perCell := make([][]Announcement, len(cells))
-	fanout.ForEach(ctx, len(cells), c.MaxConcurrency, func(ctx context.Context, i int) {
-		cell := cells[i]
-		anns := c.lookupCell(ctx, CellDomain(cell, c.suffix))
-		if len(anns) == 0 {
-			return
-		}
-		annotated := make([]Announcement, len(anns))
-		for j, a := range anns {
-			a.Level = cell.Level()
-			a.CellToken = cell.Token()
-			annotated[j] = a
-		}
-		perCell[i] = annotated
+	if ctx.Err() != nil {
+		return perCell // a cancelled discovery answers nothing, cached or not
+	}
+	misses := c.cachedCells(cells, perCell)
+	fanout.ForEach(ctx, len(misses), c.MaxConcurrency, func(ctx context.Context, k int) {
+		i := misses[k]
+		perCell[i] = c.resolveCell(ctx, cells[i])
 	})
 	return perCell
+}
+
+// cachedCells fills perCell from the cache and returns the indexes of the
+// cells it could not answer.
+func (c *Client) cachedCells(cells []s2cell.CellID, perCell [][]Announcement) []int {
+	var misses []int
+	if c.AnnouncementTTL <= 0 {
+		misses = make([]int, len(cells))
+		for i := range misses {
+			misses[i] = i
+		}
+		return misses
+	}
+	now := c.Now()
+	c.cacheMu.Lock()
+	defer c.cacheMu.Unlock()
+	for i, cell := range cells {
+		if e, ok := c.cache[cell]; ok && now.Before(e.expiry) {
+			perCell[i] = e.anns
+		} else {
+			misses = append(misses, i)
+		}
+	}
+	return misses
 }
 
 // Discover returns every map server announced on the location's cell

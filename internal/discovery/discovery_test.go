@@ -353,3 +353,30 @@ func BenchmarkDiscoverCold(b *testing.B) {
 		}
 	}
 }
+
+// FuzzParseTXT: ParseTXT never panics on arbitrary record bytes, and every
+// announcement it accepts round-trips through FormatTXT.
+func FuzzParseTXT(f *testing.F) {
+	f.Add(FormatTXT(Announcement{
+		Name: "city-0", URL: "http://10.0.0.5:8080",
+		Services:     []wire.Service{wire.SvcSearch, wire.SvcRoute},
+		Technologies: []loc.Technology{loc.TechWiFiRSSI},
+		Registry:     DefaultSuffix, Epoch: 42, ReplicaSet: "acme-city",
+	}))
+	f.Add("v=flame1 name=a url=u")
+	f.Add("v=flame1 name=a url=u srv=,search,, tech= epoch=x rs= reg=")
+	f.Add("v=flame2 name=a url=u")
+	f.Add("name=a=b url== v=flame1 v=flame1")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		a, ok := ParseTXT(s)
+		if !ok {
+			return
+		}
+		txt := FormatTXT(a)
+		back, ok := ParseTXT(txt)
+		if !ok || !reflect.DeepEqual(back, a) {
+			t.Fatalf("ParseTXT(%q) = %+v; FormatTXT gives %q, which parses to %+v (ok=%v)", s, a, txt, back, ok)
+		}
+	})
+}

@@ -153,8 +153,13 @@ func (c CellID) Token() string {
 	if c == 0 {
 		return "X"
 	}
-	s := fmt.Sprintf("%016x", uint64(c))
-	return strings.TrimRight(s, "0")
+	const hexDigits = "0123456789abcdef"
+	n := 16 - bits.TrailingZeros64(uint64(c))/4
+	var buf [16]byte
+	for k := 0; k < n; k++ {
+		buf[k] = hexDigits[uint64(c)>>uint(60-4*k)&15]
+	}
+	return string(buf[:n])
 }
 
 // FromToken parses a token produced by Token. Invalid tokens return 0.
@@ -252,24 +257,53 @@ func (c CellID) Bound() geo.Rect {
 // extended to that pole.
 func (c CellID) BoundRects() []geo.Rect {
 	face, i, j, level := c.faceIJ()
-	size := 1.0 / float64(uint64(1)<<uint(level))
-	s0, t0 := float64(i)*size, float64(j)*size
-	var samples []geo.LatLng
-	for _, fs := range []float64{0, 0.5, 1} {
-		for _, ft := range []float64{0, 0.5, 1} {
-			samples = append(samples,
-				xyzToLatLng(faceUVToXYZ(face, stToUV(s0+fs*size), stToUV(t0+ft*size))))
+	rects, n := boundRects(cellSamples(face, i, j, level), face, i, j, level)
+	return append([]geo.Rect(nil), rects[:n]...)
+}
+
+// sampleGrid holds a cell's corners, edge midpoints and center: entry
+// [a][b] is the point at (s0 + a*size/2, t0 + b*size/2) of the cell's
+// (s, t) square.
+type sampleGrid [3][3]geo.LatLng
+
+// stSample returns the point at (s, t) = (k*step, m*step) on the face.
+// step is a power of two, so the coordinates are exact: a point a cell
+// shares with its child is computed from identical operands and comes out
+// bit-identical at either level.
+func stSample(face, k, m int, step float64) geo.LatLng {
+	return xyzToLatLng(faceUVToXYZ(face, stToUV(float64(k)*step), stToUV(float64(m)*step)))
+}
+
+// cellSamples computes the sample grid of the level-level cell (i, j).
+func cellSamples(face, i, j, level int) sampleGrid {
+	half := 0.5 / float64(uint64(1)<<uint(level))
+	var g sampleGrid
+	for a := 0; a < 3; a++ {
+		for b := 0; b < 3; b++ {
+			g[a][b] = stSample(face, 2*i+a, 2*j+b, half)
 		}
 	}
-	r := geo.EmptyRect()
-	for _, ll := range samples {
-		r = r.ExpandToInclude(ll)
+	return g
+}
+
+// boundRects is BoundRects over fixed arrays: it returns the rectangles in
+// rects[:n] and allocates nothing, so coverings can call it on every cell
+// they visit.
+func boundRects(g sampleGrid, face, i, j, level int) (rects [2]geo.Rect, n int) {
+	first := g[0][0]
+	r := geo.Rect{MinLat: first.Lat, MinLng: first.Lng, MaxLat: first.Lat, MaxLng: first.Lng}
+	for a := range g {
+		for _, ll := range g[a] {
+			r.MinLat, r.MaxLat = min(r.MinLat, ll.Lat), max(r.MaxLat, ll.Lat)
+			r.MinLng, r.MaxLng = min(r.MinLng, ll.Lng), max(r.MaxLng, ll.Lng)
+		}
 	}
 	pad := func(q geo.Rect) geo.Rect {
 		return q.Expanded((q.MaxLat-q.MinLat)*0.01+1e-9, (q.MaxLng-q.MinLng)*0.01+1e-9)
 	}
 	if r.MaxLng-r.MinLng <= 180 {
-		return []geo.Rect{pad(r)}
+		rects[0] = pad(r)
+		return rects, 1
 	}
 	// The cell's longitudes wrap. If the cell contains a pole (the cube
 	// face center of the ±z faces), its true bound spans all longitudes.
@@ -284,24 +318,28 @@ func (c CellID) BoundRects() []geo.Rect {
 			} else {
 				out.MinLat = -90
 			}
-			return []geo.Rect{out}
+			rects[0] = out
+			return rects, 1
 		}
 	}
 	// Antimeridian crossing: split samples by longitude sign.
 	east := geo.EmptyRect() // positive longitudes, up to 180
 	west := geo.EmptyRect() // negative longitudes, down to -180
-	for _, ll := range samples {
-		if ll.Lng >= 0 {
-			east = east.ExpandToInclude(ll)
-		} else {
-			west = west.ExpandToInclude(ll)
+	for a := range g {
+		for _, ll := range g[a] {
+			if ll.Lng >= 0 {
+				east = east.ExpandToInclude(ll)
+			} else {
+				west = west.ExpandToInclude(ll)
+			}
 		}
 	}
 	east.MaxLng = 180
 	west.MinLng = -180
 	east.MinLat, west.MinLat = r.MinLat, r.MinLat
 	east.MaxLat, west.MaxLat = r.MaxLat, r.MaxLat
-	return []geo.Rect{pad(east), pad(west)}
+	rects[0], rects[1] = pad(east), pad(west)
+	return rects, 2
 }
 
 // EdgeNeighbors returns the four cells adjacent to c across its edges, at

@@ -406,3 +406,20 @@ func TestBoundRectsPole(t *testing.T) {
 		}
 	}
 }
+
+// FuzzFromToken: FromToken never panics on arbitrary input, and every valid
+// cell it accepts round-trips through Token.
+func FuzzFromToken(f *testing.F) {
+	for _, tok := range []string{"", "X", "1", "89c25", "89C25", "89c2584c", "0000000000000001", "zz", "+1", "-0", "8000000000000000f"} {
+		f.Add(tok)
+	}
+	f.Fuzz(func(t *testing.T, tok string) {
+		c := FromToken(tok)
+		if !c.IsValid() {
+			return
+		}
+		if back := FromToken(c.Token()); back != c {
+			t.Fatalf("FromToken(%q) = %v, but its Token %q parses to %v", tok, c, c.Token(), back)
+		}
+	})
+}

@@ -1,7 +1,7 @@
 package s2cell
 
 import (
-	"sort"
+	"slices"
 
 	"openflame/internal/geo"
 )
@@ -167,37 +167,73 @@ func Covering(r Region, level, maxCells int) []CellID {
 // coverAtLevel returns the level-l covering and whether it fit within
 // maxCells (maxCells <= 0 disables the limit).
 func coverAtLevel(r Region, level, maxCells int) ([]CellID, bool) {
-	var out []CellID
-	var descend func(c CellID) bool
-	descend = func(c CellID) bool {
-		hit := false
-		for _, b := range c.BoundRects() {
-			if r.IntersectsRect(b) {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return true
-		}
-		if c.Level() == level {
-			out = append(out, c)
-			return maxCells <= 0 || len(out) <= maxCells
-		}
-		for _, ch := range c.Children() {
-			if !descend(ch) {
-				return false
-			}
-		}
-		return true
-	}
+	cv := coverer{r: r, level: level, maxCells: maxCells}
 	for f := 0; f < numFaces; f++ {
-		if !descend(FromFace(f)) {
+		if !cv.descend(FromFace(f), cellSamples(f, 0, 0, 0), f, 0, 0, 0, 0) {
 			return nil, false
 		}
 	}
-	sortCells(out)
-	return out, true
+	// Faces are walked in order and children in Hilbert order, which is ID
+	// order, so the covering comes out sorted.
+	return cv.out, true
+}
+
+// coverer is one covering walk. It hands each cell's sample grid down to
+// its children: a child shares four of its nine samples with its parent,
+// so each visited cell costs four new samples instead of nine.
+type coverer struct {
+	r        Region
+	level    int
+	maxCells int
+	out      []CellID
+}
+
+// descend visits cell c — (i, j) at level on face, entered with Hilbert
+// orientation o, with samples g — and reports false once the covering
+// exceeds maxCells.
+func (cv *coverer) descend(c CellID, g sampleGrid, face, i, j, level, o int) bool {
+	rects, n := boundRects(g, face, i, j, level)
+	hit := false
+	for _, b := range rects[:n] {
+		if cv.r.IntersectsRect(b) {
+			hit = true
+			break
+		}
+	}
+	if !hit {
+		return true
+	}
+	if level == cv.level {
+		cv.out = append(cv.out, c)
+		return cv.maxCells <= 0 || len(cv.out) <= cv.maxCells
+	}
+	// The four children's samples form a 5×5 grid at quarter-cell steps
+	// whose even points are this cell's own samples.
+	var fine [5][5]geo.LatLng
+	quarter := 0.25 / float64(uint64(1)<<uint(level))
+	for a := 0; a < 5; a++ {
+		for b := 0; b < 5; b++ {
+			if a%2 == 0 && b%2 == 0 {
+				fine[a][b] = g[a/2][b/2]
+			} else {
+				fine[a][b] = stSample(face, 4*i+a, 4*j+b, quarter)
+			}
+		}
+	}
+	for p, ch := range c.Children() {
+		ij := posToIJ[o][p]
+		qi, qj := ij>>1, ij&1
+		var cg sampleGrid
+		for a := 0; a < 3; a++ {
+			for b := 0; b < 3; b++ {
+				cg[a][b] = fine[2*qi+a][2*qj+b]
+			}
+		}
+		if !cv.descend(ch, cg, face, 2*i+qi, 2*j+qj, level+1, o^posToOrientation[p]) {
+			return false
+		}
+	}
+	return true
 }
 
 // RegistrationCovering returns a mixed-level covering between minLevel and
@@ -216,7 +252,7 @@ func RegistrationCovering(r Region, minLevel, maxLevel int) []CellID {
 // normalize repeatedly replaces complete sibling quadruples with their
 // parent, never going coarser than minLevel.
 func normalize(cells []CellID, minLevel int) []CellID {
-	sortCells(cells)
+	slices.Sort(cells)
 	for {
 		merged := false
 		var out []CellID
@@ -241,10 +277,6 @@ func normalize(cells []CellID, minLevel int) []CellID {
 			return cells
 		}
 	}
-}
-
-func sortCells(cells []CellID) {
-	sort.Slice(cells, func(i, j int) bool { return cells[i] < cells[j] })
 }
 
 // CellUnionContains reports whether any cell in the (normalized or not)

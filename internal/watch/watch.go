@@ -564,11 +564,13 @@ func Diff(last map[int64]search.Result, cur []search.Result) (updated []search.R
 	return updated, removed
 }
 
-// ResultEqual compares two results field-by-field (Tags by content).
+// ResultEqual compares the content of two results field-by-field (Tags by
+// content). Source is provenance, not content: which replica answered is
+// carried by the event, so a sibling's identical result is no change.
 func ResultEqual(a, b search.Result) bool {
 	if a.NodeID != b.NodeID || a.Name != b.Name || a.Position != b.Position ||
 		a.TextScore != b.TextScore || a.DistanceMeters != b.DistanceMeters ||
-		a.Score != b.Score || a.Source != b.Source || len(a.Tags) != len(b.Tags) {
+		a.Score != b.Score || len(a.Tags) != len(b.Tags) {
 		return false
 	}
 	for k, v := range a.Tags {

@@ -488,3 +488,24 @@ func TestDistinctQueriesEvaluateIndependently(t *testing.T) {
 		t.Fatalf("batch cost %d evaluations, want 2 (one per affected group)", got)
 	}
 }
+
+// TestDiffIgnoresSource: a result that differs only in Source — the same
+// content answered by a sibling replica — is not an update, while a content
+// change still is.
+func TestDiffIgnoresSource(t *testing.T) {
+	a := search.Result{NodeID: 7, Name: "Oat Milk", Source: "city-0", Tags: map[string]string{"shelf": "3"}}
+	sibling := a
+	sibling.Source = "city-1"
+	if !watch.ResultEqual(a, sibling) {
+		t.Fatal("results differing only in Source compare unequal")
+	}
+	last := watch.Materialize([]search.Result{a})
+	if updated, removed := watch.Diff(last, []search.Result{sibling}); len(updated) != 0 || len(removed) != 0 {
+		t.Fatalf("re-snapshot from a sibling diffed as updated=%v removed=%v", updated, removed)
+	}
+	renamed := sibling
+	renamed.Name = "Oat Drink"
+	if updated, _ := watch.Diff(last, []search.Result{renamed}); len(updated) != 1 {
+		t.Fatalf("content change diffed as %v, want one update", updated)
+	}
+}
