@@ -199,18 +199,28 @@ func (p *packer) u16(v uint16) { p.buf = binary.BigEndian.AppendUint16(p.buf, v)
 func (p *packer) u32(v uint32) { p.buf = binary.BigEndian.AppendUint32(p.buf, v) }
 
 // name packs a domain name with RFC 1035 compression.
-func (p *packer) name(name string) error {
+func (p *packer) name(name string) error { return p.appendName(name, true) }
+
+// appendName packs a domain name, pointing at an earlier copy of a suffix
+// when compress is set. A name with an empty label has no wire form and is
+// refused; Unpack yields one from a label that holds a literal dot.
+func (p *packer) appendName(name string, compress bool) error {
 	name = CanonicalName(name)
 	if len(name) > 255 {
 		return ErrNameTooLong
 	}
-	for name != "." && name != "" {
-		if off, ok := p.offsets[name]; ok && off < 0x4000 {
-			p.u16(0xC000 | uint16(off))
-			return nil
-		}
-		if len(p.buf) < 0x4000 {
-			p.offsets[name] = len(p.buf)
+	if name == "." {
+		name = ""
+	}
+	for name != "" {
+		if compress {
+			if off, ok := p.offsets[name]; ok && off < 0x4000 {
+				p.u16(0xC000 | uint16(off))
+				return nil
+			}
+			if len(p.buf) < 0x4000 {
+				p.offsets[name] = len(p.buf)
+			}
 		}
 		i := strings.Index(name, ".")
 		label := name[:i]
@@ -278,7 +288,7 @@ func (p *packer) rr(r RR) error {
 		p.u16(r.SRV.Weight)
 		p.u16(r.SRV.Port)
 		// SRV targets are packed without compression (RFC 2782).
-		if err := packNameNoCompress(p, r.SRV.Target); err != nil {
+		if err := p.appendName(r.SRV.Target, false); err != nil {
 			return err
 		}
 	case TypeSOA:
@@ -301,25 +311,6 @@ func (p *packer) rr(r RR) error {
 	}
 	rdlen := len(p.buf) - start
 	binary.BigEndian.PutUint16(p.buf[lenAt:], uint16(rdlen))
-	return nil
-}
-
-func packNameNoCompress(p *packer, name string) error {
-	name = CanonicalName(name)
-	if len(name) > 255 {
-		return ErrNameTooLong
-	}
-	for name != "." && name != "" {
-		i := strings.Index(name, ".")
-		label := name[:i]
-		if len(label) > 63 {
-			return ErrLabelTooLong
-		}
-		p.buf = append(p.buf, byte(len(label)))
-		p.buf = append(p.buf, label...)
-		name = name[i+1:]
-	}
-	p.buf = append(p.buf, 0)
 	return nil
 }
 

@@ -1,9 +1,12 @@
 package dns
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -247,6 +250,73 @@ func TestUDPServerEndToEnd(t *testing.T) {
 	}
 	if srv.QueryCount() != 1 {
 		t.Fatalf("QueryCount = %d", srv.QueryCount())
+	}
+}
+
+// TestUDPExchangeResponsesIndependent pins that pooled read buffers are
+// safe to reuse: a second exchange, parsed from the same buffer, leaves
+// the first response unchanged.
+func TestUDPExchangeResponsesIndependent(t *testing.T) {
+	z := NewZone("loc.flame.arpa.")
+	for _, rr := range []RR{
+		{Name: "a.loc.flame.arpa.", Type: TypeTXT, TTL: 60, TXT: []string{"v=flame1 url=aaaa"}},
+		{Name: "a.loc.flame.arpa.", Type: TypeAAAA, TTL: 60, IP: net.ParseIP("fd00::a")},
+		{Name: "b.loc.flame.arpa.", Type: TypeTXT, TTL: 60, TXT: []string{"v=flame1 url=bbbb"}},
+		{Name: "b.loc.flame.arpa.", Type: TypeAAAA, TTL: 60, IP: net.ParseIP("fd00::b")},
+	} {
+		if err := z.Add(rr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := NewServer(z, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ex := UDPExchanger{}
+	exchange := func(name string, typ uint16) *Message {
+		t.Helper()
+		resp, err := ex.Exchange(srv.Addr(), &Message{ID: 5, Questions: []Question{{Name: name, Type: typ, Class: ClassIN}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, typ := range []uint16{TypeTXT, TypeAAAA} {
+		first := exchange("a.loc.flame.arpa.", typ)
+		want, err := first.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := exchange("b.loc.flame.arpa.", typ)
+		if reflect.DeepEqual(first.Answers, second.Answers) {
+			t.Fatalf("%s: both exchanges answered %v", TypeString(typ), first.Answers)
+		}
+		if got, _ := first.Pack(); !bytes.Equal(got, want) {
+			t.Fatalf("%s: first response changed after the second exchange: %v", TypeString(typ), first.Answers)
+		}
+	}
+}
+
+// TestUDPExchangeCancelInterruptsRead: cancelling the context unblocks a
+// read from a server that never answers.
+func TestUDPExchangeCancelInterruptsRead(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	_, err = UDPExchanger{}.ExchangeContext(ctx, pc.LocalAddr().String(),
+		&Message{ID: 1, Questions: []Question{{Name: "x.", Type: TypeTXT, Class: ClassIN}}})
+	if err == nil {
+		t.Fatal("exchange with a silent server succeeded")
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("cancel took %v to interrupt the read", took)
 	}
 }
 

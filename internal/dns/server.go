@@ -287,12 +287,13 @@ func (UDPExchanger) ExchangeContext(ctx context.Context, addr string, req *Messa
 	if _, err := conn.Write(wire); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 64*1024)
-	n, err := conn.Read(buf)
+	buf := udpBufs.Get().(*[]byte)
+	defer udpBufs.Put(buf)
+	n, err := conn.Read(*buf)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := Unpack(buf[:n])
+	resp, err := Unpack((*buf)[:n])
 	if err != nil {
 		return nil, err
 	}
@@ -305,25 +306,24 @@ func (UDPExchanger) ExchangeContext(ctx context.Context, addr string, req *Messa
 	return resp, nil
 }
 
+// udpBufs holds UDP read buffers. Each is 64 KiB, the largest datagram:
+// a shorter read would silently truncate an oversized response. Unpack
+// copies every field out of the buffer, so it can go back once parsed.
+var udpBufs = sync.Pool{New: func() any {
+	b := make([]byte, 64*1024)
+	return &b
+}}
+
 // deadlineFromCtx propagates the context deadline to the connection and
 // interrupts blocked I/O if the context is cancelled mid-flight. The
-// returned stop function releases the watcher goroutine.
-func deadlineFromCtx(ctx context.Context, conn net.Conn) (stop func()) {
+// returned stop function unregisters the cancellation hook.
+func deadlineFromCtx(ctx context.Context, conn net.Conn) (stop func() bool) {
 	if dl, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(dl)
 	}
-	if ctx.Done() == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = conn.SetDeadline(time.Unix(0, 1)) // unblock pending reads
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
+	return context.AfterFunc(ctx, func() {
+		_ = conn.SetDeadline(time.Unix(0, 1)) // unblock pending reads
+	})
 }
 
 func tcpExchange(ctx context.Context, addr string, wire []byte, id uint16) (*Message, error) {

@@ -5,7 +5,6 @@
 package geocode
 
 import (
-	"sort"
 	"strings"
 
 	"openflame/internal/geo"
@@ -36,6 +35,9 @@ func New(s *store.Store) *Geocoder { return &Geocoder{s: s} }
 // Matching is token-based: every query token must appear in the node's
 // indexed text for a perfect score; partial matches rank lower. At most
 // limit results are returned (limit <= 0 means 10).
+//
+// Matches are ranked on their hit count and name alone, read from the
+// map's columns; only the winners' addresses are read.
 func (g *Geocoder) Forward(query string, limit int) []Result {
 	if limit <= 0 {
 		limit = 10
@@ -44,37 +46,43 @@ func (g *Geocoder) Forward(query string, limit int) []Result {
 	if len(tokens) == 0 {
 		return nil
 	}
-	var results []Result
 	m := g.s.Map()
+	top := store.NewTopK(limit, ranksBefore)
+	var results []Result
 	g.s.ForEachPostingMatch(tokens, func(id osm.NodeID, c int) {
-		n := m.Node(id)
-		if n == nil {
+		score := float64(c) / float64(len(tokens))
+		if top.Full() {
+			// IDs arrive ascending, so at an equal score this match beats
+			// the worst kept one only by being named where it is not.
+			w := top.Worst()
+			if score < w.Score || (score == w.Score && w.Name != "") {
+				return
+			}
+		}
+		name, pos, ok := m.NodeTag(id, osm.TagName)
+		if !ok {
 			return
 		}
-		results = append(results, Result{
-			NodeID:   id,
-			Name:     n.Tags.Get(osm.TagName),
-			Position: m.NodePosition(n),
-			Score:    float64(c) / float64(len(tokens)),
-			Address:  n.Tags.Get(osm.TagAddr),
-		})
-	})
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
+		top.Offer(Result{NodeID: id, Name: name, Position: pos, Score: score})
+	}, func() {
+		results = top.Sorted()
+		for i := range results {
+			results[i].Address, _, _ = m.NodeTag(results[i].NodeID, osm.TagAddr)
 		}
-		// Prefer named nodes, then stable order by ID.
-		ni := results[i].Name != ""
-		nj := results[j].Name != ""
-		if ni != nj {
-			return ni
-		}
-		return results[i].NodeID < results[j].NodeID
 	})
-	if len(results) > limit {
-		results = results[:limit]
-	}
 	return results
+}
+
+// ranksBefore is Forward's order: score descending, then named nodes
+// first, then ascending node ID.
+func ranksBefore(a, b Result) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	if an, bn := a.Name != "", b.Name != ""; an != bn {
+		return an
+	}
+	return a.NodeID < b.NodeID
 }
 
 // Reverse finds the nearest addressable node (one with a name or address

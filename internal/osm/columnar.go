@@ -83,6 +83,17 @@ func (c *columns) tags(i int) Tags {
 	return t
 }
 
+// tag returns node i's value for key ("" when absent) without building
+// its tag map.
+func (c *columns) tag(i int, key string) string {
+	for p := c.tagOff[i]; p < c.tagOff[i+1]; p++ {
+		if c.pool[c.tagPairs[2*p]] == key {
+			return c.pool[c.tagPairs[2*p+1]]
+		}
+	}
+	return ""
+}
+
 // node materializes a view of node i. The view is a fresh value: callers
 // own it for reading, and writing to it never reaches the columns (all
 // mutation goes through the Map's write methods).
@@ -244,17 +255,24 @@ func (m *Map) Compact() {
 	m.compactLocked()
 }
 
-// compactMinPending is the overlay size below which the write path never
-// compacts: tiny maps and trickle writes stay in the overlay where a
-// rebuild would cost more than it saves.
-const compactMinPending = 1024
+// CompactMinPending is the pending-mutation count below which
+// ShouldCompact never asks for a rebuild: tiny maps and trickle writes stay
+// in the overlay where a rebuild would cost more than it saves.
+const CompactMinPending = 1024
 
-// maybeCompactLocked compacts when the pending overlay+tombstone set has
-// grown to a fixed fraction of the packed block, so a bulk load of n nodes
-// pays O(n) total rebuild work amortized (geometric growth), not O(n²).
+// ShouldCompact is the amortized rule shared by every packed structure with
+// a mutation overlay (the node columns here, the store's spatial indexes):
+// rebuild once pending mutations reach CompactMinPending and a quarter of
+// the packed size, so a bulk load of n items pays O(n) total rebuild work
+// (geometric growth), not O(n²).
+func ShouldCompact(pending, packed int) bool {
+	return pending >= CompactMinPending && pending*4 >= packed
+}
+
+// maybeCompactLocked compacts when ShouldCompact says the pending
+// overlay+tombstone set has grown large enough.
 func (m *Map) maybeCompactLocked() {
-	pending := len(m.overlay) + len(m.tomb)
-	if pending >= compactMinPending && pending*4 >= m.cols.len() {
+	if ShouldCompact(len(m.overlay)+len(m.tomb), m.cols.len()) {
 		m.compactLocked()
 	}
 }

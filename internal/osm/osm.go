@@ -332,6 +332,29 @@ func (m *Map) Node(id NodeID) *Node {
 	return cols.node(i)
 }
 
+// NodeTag reports whether node id exists and, if so, its value for tag key
+// and its NodePosition. It reads the columns (or the overlay) in place and
+// builds no Node and no Tags map, so ranking code can afford it per
+// candidate.
+func (m *Map) NodeTag(id NodeID, key string) (value string, pos geo.LatLng, ok bool) {
+	m.mu.RLock()
+	if n, ok := m.overlay[id]; ok {
+		m.mu.RUnlock()
+		return n.Tags[key], m.NodePosition(n), true
+	}
+	if _, dead := m.tomb[id]; dead {
+		m.mu.RUnlock()
+		return "", geo.LatLng{}, false
+	}
+	cols := m.cols
+	m.mu.RUnlock()
+	i := cols.find(id)
+	if i < 0 {
+		return "", geo.LatLng{}, false
+	}
+	return cols.tag(i, key), m.position(cols.pos(i), cols.local(i)), true
+}
+
 // Way returns the way with the given ID, or nil.
 func (m *Map) Way(id WayID) *Way {
 	m.mu.RLock()
@@ -523,11 +546,16 @@ func (m *Map) WayNodes(w *Way) []*Node {
 // obtained by projecting the local point through the frame anchor. Callers
 // needing precise alignment use the align package.
 func (m *Map) NodePosition(n *Node) geo.LatLng {
+	return m.position(n.Pos, n.Local)
+}
+
+// position is NodePosition over a node's stored fields.
+func (m *Map) position(pos geo.LatLng, local geo.Point) geo.LatLng {
 	if m.Frame.Kind == FrameGeodetic {
-		return n.Pos
+		return pos
 	}
 	pr := geo.NewLocalProjection(m.Frame.Anchor)
-	p := rotate(n.Local, -m.Frame.AnchorBearingDeg)
+	p := rotate(local, -m.Frame.AnchorBearingDeg)
 	return pr.ToLatLng(p)
 }
 

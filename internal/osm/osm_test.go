@@ -2,6 +2,7 @@ package osm
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -314,5 +315,48 @@ func TestGenerationMonotonic(t *testing.T) {
 	}
 	if g := m.Generation(); g != 6 {
 		t.Fatalf("after node removal generation = %d", g)
+	}
+}
+
+// TestNodeTagMatchesNode checks the narrow read against the materialized
+// node in each layer: packed columns, overlay replacement, overlay-only
+// add, tombstone, and a missing ID, on a geodetic and a local-frame map.
+func TestNodeTagMatchesNode(t *testing.T) {
+	for _, frame := range []Frame{
+		{Kind: FrameGeodetic},
+		{Kind: FrameLocal, Anchor: geo.LatLng{Lat: 40.44, Lng: -79.99}, AnchorBearingDeg: 15},
+	} {
+		m := NewMap("m", frame)
+		for i := 0; i < 20; i++ {
+			tags := Tags{TagName: fmt.Sprintf("n%d", i), TagAddr: fmt.Sprintf("%d Main", i)}
+			if i%4 == 0 {
+				tags = nil
+			}
+			m.AddNode(&Node{Pos: geo.LatLng{Lat: 40 + float64(i)*1e-4, Lng: -80},
+				Local: geo.Point{X: float64(i), Y: float64(2 * i)}, Tags: tags})
+		}
+		m.Compact()
+		m.AddNode(&Node{ID: 3, Pos: geo.LatLng{Lat: 41, Lng: -81}, Local: geo.Point{X: 5, Y: 5},
+			Tags: Tags{TagName: "replaced"}})
+		m.AddNode(&Node{ID: 50, Local: geo.Point{X: 1, Y: 1}, Tags: Tags{TagAddr: "new"}})
+		if err := m.RemoveNode(7); err != nil {
+			t.Fatal(err)
+		}
+		for id := NodeID(0); id <= 51; id++ {
+			n := m.Node(id)
+			for _, key := range []string{TagName, TagAddr, TagShop} {
+				v, pos, ok := m.NodeTag(id, key)
+				if ok != (n != nil) {
+					t.Fatalf("frame %v node %d: ok=%v, Node=%v", frame.Kind, id, ok, n)
+				}
+				if n == nil {
+					continue
+				}
+				if v != n.Tags.Get(key) || pos != m.NodePosition(n) {
+					t.Fatalf("frame %v node %d key %q: got %q %v, want %q %v",
+						frame.Kind, id, key, v, pos, n.Tags.Get(key), m.NodePosition(n))
+				}
+			}
+		}
 	}
 }

@@ -55,7 +55,9 @@ type Searcher struct {
 // New creates a searcher over s.
 func New(s *store.Store) *Searcher { return &Searcher{s: s} }
 
-// Search retrieves and ranks nodes matching the query.
+// Search retrieves and ranks nodes matching the query. Matches are ranked
+// on their hit count, name and position, read from the map's columns; only
+// the winners' tag sets are built.
 func (se *Searcher) Search(query string, opt Options) []Result {
 	limit := opt.Limit
 	if limit <= 0 {
@@ -66,22 +68,29 @@ func (se *Searcher) Search(query string, opt Options) []Result {
 		return nil
 	}
 	m := se.s.Map()
+	top := store.NewTopK(limit, ranksBefore)
 	var results []Result
 	se.s.ForEachPostingMatch(tokens, func(id osm.NodeID, c int) {
 		if opt.RequireAllTokens && c < len(tokens) {
 			return
 		}
-		n := m.Node(id)
-		if n == nil {
+		text := float64(c) / float64(len(tokens))
+		if top.Full() {
+			// A match scores at most its text score, reached at distance
+			// zero. Without Near every distance is zero and IDs arrive
+			// ascending, so at an equal score this match would need a name
+			// below the worst kept one's, and none is below "".
+			w := top.Worst()
+			best := CombinedScore(text, 0, opt.Near != nil)
+			if best < w.Score || (opt.Near == nil && best == w.Score && w.Name == "") {
+				return
+			}
+		}
+		name, pos, ok := m.NodeTag(id, osm.TagName)
+		if !ok {
 			return
 		}
-		r := Result{
-			NodeID:    id,
-			Name:      n.Tags.Get(osm.TagName),
-			Position:  m.NodePosition(n),
-			TextScore: float64(c) / float64(len(tokens)),
-			Tags:      n.Tags,
-		}
+		r := Result{NodeID: id, Name: name, Position: pos, TextScore: text}
 		if opt.Near != nil {
 			r.DistanceMeters = geo.DistanceMeters(*opt.Near, r.Position)
 			if opt.MaxDistanceMeters > 0 && r.DistanceMeters > opt.MaxDistanceMeters {
@@ -89,12 +98,15 @@ func (se *Searcher) Search(query string, opt Options) []Result {
 			}
 		}
 		r.Score = CombinedScore(r.TextScore, r.DistanceMeters, opt.Near != nil)
-		results = append(results, r)
+		top.Offer(r)
+	}, func() {
+		results = top.Sorted()
+		for i := range results {
+			if n := m.Node(results[i].NodeID); n != nil {
+				results[i].Tags = n.Tags
+			}
+		}
 	})
-	SortResults(results)
-	if len(results) > limit {
-		results = results[:limit]
-	}
 	return results
 }
 
@@ -111,18 +123,21 @@ func CombinedScore(textScore, distanceMeters float64, haveLocation bool) float64
 // SortResults orders results by descending score with deterministic
 // tie-breaks (distance, then name, then node ID).
 func SortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Score != rs[j].Score {
-			return rs[i].Score > rs[j].Score
-		}
-		if rs[i].DistanceMeters != rs[j].DistanceMeters {
-			return rs[i].DistanceMeters < rs[j].DistanceMeters
-		}
-		if rs[i].Name != rs[j].Name {
-			return rs[i].Name < rs[j].Name
-		}
-		return rs[i].NodeID < rs[j].NodeID
-	})
+	sort.Slice(rs, func(i, j int) bool { return ranksBefore(rs[i], rs[j]) })
+}
+
+// ranksBefore is SortResults' order.
+func ranksBefore(a, b Result) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	if a.DistanceMeters != b.DistanceMeters {
+		return a.DistanceMeters < b.DistanceMeters
+	}
+	if a.Name != b.Name {
+		return a.Name < b.Name
+	}
+	return a.NodeID < b.NodeID
 }
 
 // Merge combines ranked result lists from multiple map servers into one

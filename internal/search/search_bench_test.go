@@ -11,8 +11,9 @@ import (
 
 // BenchmarkSearch tracks the end-to-end query path over a mid-sized index.
 // The retrieval core is pinned allocation-free per posting by the store's
-// ForEachPostingMatch test; what remains here is result materialization,
-// which scales with matches, not with index size.
+// ForEachPostingMatch test. What remains here is ranking, which reads a
+// name and a position from the columns per match that can still win, and
+// building the limit winners' tag sets; neither scales with index size.
 func BenchmarkSearch(b *testing.B) {
 	m := osm.NewMap("bench", osm.Frame{Kind: osm.FrameGeodetic})
 	for i := 0; i < 20_000; i++ {

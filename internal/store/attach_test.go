@@ -236,6 +236,10 @@ func TestMutateWhileReading(t *testing.T) {
 	wg.Wait()
 }
 
+// compactMinPending is the pending count at which the spatial overlay's
+// shared rule (osm.ShouldCompact) first allows a rebuild.
+const compactMinPending = osm.CompactMinPending
+
 // TestOverlayCompaction drives enough mutations through an attached store
 // to trip the amortized re-bulk-load and verifies nothing is lost.
 func TestOverlayCompaction(t *testing.T) {

@@ -20,7 +20,7 @@ func TestForEachPostingMatchMerge(t *testing.T) {
 	// only Bean There.
 	s.ForEachPostingMatch([]string{"cafe", "bean"}, func(id osm.NodeID, c int) {
 		got = append(got, hit{id, c})
-	})
+	}, nil)
 	if len(got) != 2 {
 		t.Fatalf("matches: %+v", got)
 	}
@@ -41,7 +41,7 @@ func TestForEachPostingMatchMerge(t *testing.T) {
 	got = nil
 	s.ForEachPostingMatch([]string{"zzz", "grocery"}, func(id osm.NodeID, c int) {
 		got = append(got, hit{id, c})
-	})
+	}, nil)
 	if len(got) != 1 || got[0].c != 1 {
 		t.Fatalf("unknown-token merge: %+v", got)
 	}
@@ -90,7 +90,7 @@ func TestForEachPostingMatchAllocsPin(t *testing.T) {
 	tokens := []string{"alpha", "beta"}
 	count := 0
 	got := testing.AllocsPerRun(100, func() {
-		s.ForEachPostingMatch(tokens, func(id osm.NodeID, c int) { count++ })
+		s.ForEachPostingMatch(tokens, func(id osm.NodeID, c int) { count++ }, nil)
 	})
 	if got > 2 {
 		t.Fatalf("ForEachPostingMatch allocs/op = %v, want <= 2", got)
@@ -116,7 +116,7 @@ func BenchmarkForEachPostingMatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		s.ForEachPostingMatch(tokens, func(id osm.NodeID, c int) { n++ })
+		s.ForEachPostingMatch(tokens, func(id osm.NodeID, c int) { n++ }, nil)
 		if n == 0 {
 			b.Fatal("no matches")
 		}

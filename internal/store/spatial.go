@@ -2,6 +2,7 @@ package store
 
 import (
 	"openflame/internal/geo"
+	"openflame/internal/osm"
 	"openflame/internal/rtree"
 )
 
@@ -20,15 +21,6 @@ type spatialIndex[T comparable] struct {
 	dead   map[T]struct{} // deleted static items (payloads are unique)
 	side   *rtree.Tree[T] // inserts since the last compaction
 }
-
-const (
-	// compactMinPending: below this many pending mutations a rebuild is
-	// never worth it, whatever the ratio.
-	compactMinPending = 1024
-	// compactFraction: rebuild when pending mutations exceed 1/4 of the
-	// static tree.
-	compactFraction = 4
-)
 
 func newSpatial[T comparable](static *rtree.Static[T]) *spatialIndex[T] {
 	return &spatialIndex[T]{
@@ -125,11 +117,9 @@ func (sp *spatialIndex[T]) forEach(fn func(bound geo.Rect, item T) bool) {
 }
 
 func (sp *spatialIndex[T]) maybeCompact() {
-	pending := len(sp.dead) + sp.side.Len()
-	if pending < compactMinPending || pending*compactFraction < sp.static.Len() {
-		return
+	if osm.ShouldCompact(len(sp.dead)+sp.side.Len(), sp.static.Len()) {
+		sp.compact()
 	}
-	sp.compact()
 }
 
 // compact folds the overlay back into one freshly bulk-loaded static tree.

@@ -732,9 +732,16 @@ func (s *Store) TokenPostings(token string) []osm.NodeID {
 // containing it. This is the retrieval core of search and forward geocode:
 // a k-way merge over the shared lists in place of the map[NodeID]int the
 // per-query intersection used to allocate and rehash.
-func (s *Store) ForEachPostingMatch(tokens []string, fn func(id osm.NodeID, hits int)) {
+//
+// done, when non-nil, runs once after the last match under the same read
+// lock, so what fn ranked and what done builds from the map see one state:
+// no store write lands in between.
+func (s *Store) ForEachPostingMatch(tokens []string, fn func(id osm.NodeID, hits int), done func()) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if done != nil {
+		defer done()
+	}
 	lists := make([][]osm.NodeID, 0, len(tokens))
 	for _, tok := range tokens {
 		if lst := s.inv[tok]; len(lst) > 0 {
